@@ -23,6 +23,13 @@
 //! cargo run --release -p ivc-bench --bin repro -- shard-worker --job jobs/a6-carrier-frequency.shard-0-of-4.job.json --out parts/part0.bin
 //! cargo run --release -p ivc-bench --bin repro -- shard-merge --out a6.json parts/*.bin
 //!
+//! # A worker that enrolled the corpus or trained a detector itself leaves
+//! # that set-up next to its partial (parts/part0.setup.bin, format
+//! # ivc-setup-v1); --setup hands it to later workers of the same build,
+//! # which load it instead of rebuilding it (a bundle from another build
+//! # is refused with a warning).  The archive bytes are the same either way:
+//! cargo run --release -p ivc-bench --bin repro -- shard-worker --job jobs/a6-carrier-frequency.shard-1-of-4.job.json --setup parts/part0.setup.bin --out parts/part1.bin
+//!
 //! # Re-encode one binary partial archive as JSON for human inspection:
 //! cargo run --release -p ivc-bench --bin repro -- export-json parts/part0.bin --out part0.json
 //!
@@ -41,6 +48,10 @@
 //! # Flags:
 //! #   --workers N             worker threads (default: all cores; per process when sharded)
 //! #   --shards N              fork N shard-worker processes per campaign
+//! #   --setup FILE            shard-worker: load the enrolled recogniser and trained
+//! #                           detectors from this ivc-setup-v1 bundle instead of
+//! #                           building them (orchestrate and campaign --shards pass it
+//! #                           to their workers themselves)
 //! #   --partial-format F      wire format for shard partials: columns (default) or json
 //! #                           (campaign --shards and orchestrate)
 //! #   --archive DIR           write each campaign's JSON report into DIR
@@ -60,7 +71,7 @@ use ivc_experiments::shard::{
     merge_shard_files, metrics_sidecar_path, run_shard, shard_job_file_name, PartialFormat,
     ShardArchive, ShardJob, ShardPlan,
 };
-use ivc_experiments::{default_workers, presets, CampaignReport};
+use ivc_experiments::{default_workers, presets, setup, CampaignReport};
 use std::path::{Path, PathBuf};
 
 /// What the invocation asked the driver to do.
@@ -96,6 +107,7 @@ struct Options {
     archive: Option<PathBuf>,
     shards: Option<usize>,
     job: Option<PathBuf>,
+    setup: Option<PathBuf>,
     out: Option<PathBuf>,
     out_dir: Option<PathBuf>,
     max_retries: Option<usize>,
@@ -133,6 +145,7 @@ fn parse_args(args: &[String]) -> Result<(Mode, Options), String> {
         archive: None,
         shards: None,
         job: None,
+        setup: None,
         out: None,
         out_dir: None,
         max_retries: None,
@@ -175,6 +188,10 @@ fn parse_args(args: &[String]) -> Result<(Mode, Options), String> {
             "--job" => {
                 let value = flag_value(&mut iter, "--job", "a shard job file")?;
                 options.job = Some(PathBuf::from(value));
+            }
+            "--setup" => {
+                let value = flag_value(&mut iter, "--setup", "a set-up bundle file")?;
+                options.setup = Some(PathBuf::from(value));
             }
             "--out" => {
                 let value = flag_value(&mut iter, "--out", "an output file")?;
@@ -338,6 +355,11 @@ fn parse_args(args: &[String]) -> Result<(Mode, Options), String> {
         reject_flag(
             options.job.is_some(),
             "--job",
+            "the shard-worker subcommand",
+        )?;
+        reject_flag(
+            options.setup.is_some(),
+            "--setup",
             "the shard-worker subcommand",
         )?;
     }
@@ -770,6 +792,15 @@ fn run_shard_worker(options: &Options) {
     telemetry::reset();
     telemetry::set_enabled(true);
     let start = std::time::Instant::now();
+    // A set-up bundle only ever saves work: one that fails to load (a
+    // foreign build, a damaged file) costs a rebuild, never a result.
+    if let Some(setup) = &options.setup {
+        if let Err(e) = setup::install_bundle_file(setup) {
+            eprintln!("warning: ignoring set-up bundle {}: {e}", setup.display());
+        }
+    }
+    let detectors = setup::shard_detectors(&job.spec, job.shard.start_job, job.shard.end_job);
+    let builds_setup = !setup::memos_cover(&job.spec, &detectors);
     let outcome = run_shard(&job, options.worker_threads());
     let wall_s = start.elapsed().as_secs_f64();
     telemetry::set_enabled(false);
@@ -786,6 +817,16 @@ fn run_shard_worker(options: &Options) {
     ));
     if let Err(e) = write_metrics_file(&metrics_sidecar_path(out_path), &snapshot, wall_s) {
         fail(e);
+    }
+    // Return whatever set-up this worker had to build, so the coordinator
+    // can ship it to later workers instead of having them rebuild it.
+    if builds_setup {
+        if let Some(bundle) = setup::SetupBundle::from_memos(&job.spec, &detectors) {
+            let sidecar = setup::setup_sidecar_path(out_path);
+            if let Err(e) = bundle.save(&sidecar) {
+                eprintln!("warning: could not return the worker's set-up: {e}");
+            }
+        }
     }
     println!(
         "shard {}/{} of '{}': {} trial(s) -> {}",

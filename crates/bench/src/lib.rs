@@ -29,7 +29,7 @@ use ivc_experiments::shard::{
     shard_job_file_name, PartialFormat, ShardPlan,
 };
 use ivc_experiments::{
-    presets, run_campaign, CampaignReport, CampaignSpec, CellCoords, TrialRecord,
+    presets, run_campaign, setup, CampaignReport, CampaignSpec, CellCoords, TrialRecord,
 };
 use std::path::{Path, PathBuf};
 
@@ -573,6 +573,10 @@ pub fn run_campaign_spec_sharded(
     }
     let plan = ShardPlan::partition(spec, num_shards)?;
     std::fs::create_dir_all(scratch_dir)?;
+    // Ship the set-up this process already holds (from an earlier
+    // campaign's workers) so these workers load it instead of rebuilding.
+    // Best effort: without the file they build their own set-up.
+    let bundle = setup::write_bundle(spec, scratch_dir).ok().flatten();
     let mut children = Vec::with_capacity(num_shards);
     for job in plan.jobs() {
         let job_path = scratch_dir.join(shard_job_file_name(&spec.name, &job.shard));
@@ -582,21 +586,24 @@ pub fn run_campaign_spec_sharded(
             partial_format,
         ));
         let spawned = job.save(&job_path).map_err(Into::into).and_then(|()| {
-            std::process::Command::new(worker_exe)
+            let mut command = std::process::Command::new(worker_exe);
+            command
                 .arg("shard-worker")
                 .arg("--job")
                 .arg(&job_path)
                 .arg("--out")
                 .arg(&out_path)
                 .arg("--workers")
-                .arg(workers.to_string())
-                .spawn()
-                .map_err(|e| {
-                    ivc_core::Error::from(format!(
-                        "spawning shard worker {}: {e}",
-                        job.shard.shard_index
-                    ))
-                })
+                .arg(workers.to_string());
+            if let Some(bundle) = &bundle {
+                command.arg("--setup").arg(bundle);
+            }
+            command.spawn().map_err(|e| {
+                ivc_core::Error::from(format!(
+                    "spawning shard worker {}: {e}",
+                    job.shard.shard_index
+                ))
+            })
         });
         match spawned {
             Ok(child) => children.push((job.shard.shard_index, out_path, child)),
@@ -604,9 +611,10 @@ pub fn run_campaign_spec_sharded(
                 // Never leave already-spawned workers orphaned, burning
                 // CPU and writing into a scratch dir the caller may
                 // delete: reap them before reporting the failure.
-                for (_, _, mut child) in children {
+                for (_, out_path, mut child) in children {
                     child.kill().ok();
                     child.wait().ok();
+                    std::fs::remove_file(setup::setup_sidecar_path(&out_path)).ok();
                 }
                 return Err(e);
             }
@@ -619,16 +627,29 @@ pub fn run_campaign_spec_sharded(
     let mut partial_paths = Vec::with_capacity(num_shards);
     let mut failures: Vec<String> = Vec::new();
     for (shard_index, out_path, mut child) in children {
-        match child.wait() {
-            Err(e) => failures.push(format!("waiting for shard {shard_index}: {e}")),
+        let failure = match child.wait() {
+            Err(e) => Some(format!("waiting for shard {shard_index}: {e}")),
             Ok(status) if !status.success() => {
-                failures.push(format!("shard {shard_index} worker exited with {status}"))
+                Some(format!("shard {shard_index} worker exited with {status}"))
             }
-            Ok(_) if !out_path.exists() => failures.push(format!(
+            Ok(_) if !out_path.exists() => Some(format!(
                 "shard {shard_index} worker exited 0 but left no partial at {}",
                 out_path.display()
             )),
-            Ok(_) => partial_paths.push(out_path),
+            Ok(_) => None,
+        };
+        // A worker that built its own set-up returned it next to its
+        // partial: keep a successful worker's copy for the workers of
+        // later campaigns, and leave no sidecar behind either way.
+        match failure {
+            Some(message) => {
+                std::fs::remove_file(setup::setup_sidecar_path(&out_path)).ok();
+                failures.push(message);
+            }
+            None => {
+                setup::absorb_sidecar(spec, &out_path);
+                partial_paths.push(out_path);
+            }
         }
     }
     if !failures.is_empty() {

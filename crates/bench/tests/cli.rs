@@ -126,6 +126,10 @@ fn malformed_flag_values_are_one_line_errors() {
             &["shard-plan", "smoke", "--shards", "2"][..],
             "shard-plan needs --out-dir",
         ),
+        (
+            &["campaign", "smoke", "--setup", "b.setup.bin"][..],
+            "--setup applies to",
+        ),
         (&["shard-worker"][..], "shard-worker needs --job"),
         (
             &["shard-worker", "--job", "x.json"][..],
@@ -871,5 +875,53 @@ fn sharded_smoke_campaign_reproduces_the_in_process_bytes() {
     assert!(line.contains("overlap"), "{line}");
     assert!(!overlap_out.exists(), "failed merge must not write output");
 
+    std::fs::remove_dir_all(&scratch).ok();
+}
+
+/// A set-up bundle only ever saves work: a worker handed a damaged one
+/// warns, builds its own set-up and writes the same partial as a worker
+/// given none.
+#[test]
+fn a_damaged_setup_bundle_costs_a_rebuild_not_a_result() {
+    let scratch = std::env::temp_dir().join(format!("ivc-cli-badsetup-{}", std::process::id()));
+    std::fs::remove_dir_all(&scratch).ok();
+    std::fs::create_dir_all(&scratch).unwrap();
+    let path = |name: &str| -> String { scratch.join(name).to_string_lossy().into_owned() };
+    let output = repro(&[
+        "shard-plan",
+        "smoke",
+        "--shards",
+        "2",
+        "--out-dir",
+        &path(""),
+    ]);
+    assert!(output.status.success(), "shard-plan failed: {output:?}");
+    std::fs::write(scratch.join("bad.setup.bin"), b"not a bundle").unwrap();
+    let job = path("smoke.shard-0-of-2.job.json");
+    for (out, setup) in [
+        ("cold.bin", None),
+        ("damaged.bin", Some(path("bad.setup.bin"))),
+    ] {
+        let mut args = vec!["shard-worker", "--job", &job, "--workers", "1"];
+        let out_path = path(out);
+        args.extend(["--out", &out_path]);
+        if let Some(setup) = &setup {
+            args.extend(["--setup", setup]);
+        }
+        let output = repro(&args);
+        assert!(output.status.success(), "{out}: {output:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(
+            stderr.contains("ignoring set-up bundle"),
+            setup.is_some(),
+            "{out}: {stderr}"
+        );
+        // Both workers built their set-up, so both return it.
+        assert!(scratch.join(out.replace(".bin", ".setup.bin")).exists());
+    }
+    assert_eq!(
+        std::fs::read(scratch.join("cold.bin")).unwrap(),
+        std::fs::read(scratch.join("damaged.bin")).unwrap()
+    );
     std::fs::remove_dir_all(&scratch).ok();
 }

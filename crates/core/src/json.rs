@@ -203,6 +203,7 @@ impl JsonValue {
     /// Parses JSON text into a value tree.
     pub fn parse(text: &str) -> Result<JsonValue, JsonParseError> {
         let mut parser = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -341,6 +342,7 @@ fn write_string(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -490,16 +492,23 @@ impl<'a> Parser<'a> {
                         }
                     }
                 }
+                c if c < 0x20 => {
+                    return Err(self.error("unescaped control character in string"));
+                }
                 _ => {
-                    // Consume one UTF-8 encoded character (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid UTF-8 in string"))?;
-                    let ch = rest.chars().next().expect("peek guaranteed a byte");
-                    if (ch as u32) < 0x20 {
-                        return Err(self.error("unescaped control character in string"));
+                    // Copy the run of plain characters up to the next quote,
+                    // backslash or control byte in one go.  Those bytes are
+                    // ASCII, and ASCII bytes never occur inside a multi-byte
+                    // UTF-8 sequence, so the run ends on a char boundary of
+                    // the (already validated) input text.
+                    let start = self.pos;
+                    while let Some(&b) = self.bytes.get(self.pos) {
+                        if b == b'"' || b == b'\\' || b < 0x20 {
+                            break;
+                        }
+                        self.pos += 1;
                     }
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -714,6 +723,41 @@ mod tests {
         ] {
             assert!(JsonValue::parse(text).is_err(), "accepted: {text}");
         }
+    }
+
+    #[test]
+    fn string_errors_keep_their_messages_and_offsets() {
+        let cases = [
+            ("\"ab\u{1}c\"", 3, "unescaped control character"),
+            ("\"\u{e9}\n\"", 3, "unescaped control character"),
+            ("\"lone \\udc00 low\"", 12, "lone low surrogate"),
+            ("\"\\ud800\\u0041\"", 13, "invalid low surrogate"),
+            ("\"\\ud800x\"", 7, "lone high surrogate"),
+            ("\"bad \\q\"", 7, "invalid escape"),
+            ("\"\u{1F600} open", 10, "unterminated string"),
+        ];
+        for (text, offset, message) in cases {
+            let err = JsonValue::parse(text).unwrap_err();
+            assert_eq!(err.offset, offset, "{text:?}: {err}");
+            assert!(err.message.contains(message), "{text:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn long_multibyte_strings_parse_exactly() {
+        // Long runs of plain characters, multi-byte ones included, between
+        // escapes: the parser copies runs rather than characters.
+        let text: String = (0..20_000)
+            .map(|i| match i % 7 {
+                0 => '\u{e9}',
+                1 => '\u{1F980}',
+                2 => '"',
+                3 => '\\',
+                _ => char::from(b'a' + (i % 26) as u8),
+            })
+            .collect();
+        let value = JsonValue::String(text);
+        assert_eq!(JsonValue::parse(&value.to_json_string()).unwrap(), value);
     }
 
     #[test]

@@ -123,6 +123,40 @@ impl LogisticRegression {
         })
     }
 
+    /// Reassembles a trained model from its parts — the inverse of
+    /// [`LogisticRegression::weights`], [`LogisticRegression::bias`],
+    /// [`LogisticRegression::feature_means`] and
+    /// [`LogisticRegression::feature_stds`], for loading a model from
+    /// storage instead of retraining it.  The three vectors must share one
+    /// non-zero dimension.
+    pub fn from_parts(
+        weights: Vec<f64>,
+        bias: f64,
+        feature_means: Vec<f64>,
+        feature_stds: Vec<f64>,
+    ) -> Result<Self> {
+        if weights.is_empty()
+            || feature_means.len() != weights.len()
+            || feature_stds.len() != weights.len()
+        {
+            return Err(DefenseError::invalid(
+                "LogisticRegression parts",
+                format!(
+                    "weights, means and stds need one non-zero dimension (got {}, {}, {})",
+                    weights.len(),
+                    feature_means.len(),
+                    feature_stds.len()
+                ),
+            ));
+        }
+        Ok(LogisticRegression {
+            weights,
+            bias,
+            feature_means,
+            feature_stds,
+        })
+    }
+
     /// Probability that `features` describe an attack recording.
     pub fn predict_probability(&self, features: &FeatureVector) -> Result<f64> {
         if features.len() != self.weights.len() {
@@ -159,6 +193,16 @@ impl LogisticRegression {
     /// The trained bias term.
     pub fn bias(&self) -> f64 {
         self.bias
+    }
+
+    /// Per-feature training means used for standardisation.
+    pub fn feature_means(&self) -> &[f64] {
+        &self.feature_means
+    }
+
+    /// Per-feature training standard deviations used for standardisation.
+    pub fn feature_stds(&self) -> &[f64] {
+        &self.feature_stds
     }
 }
 
@@ -235,6 +279,22 @@ mod tests {
             LogisticRegression::train(&toy_dataset(10), &TrainingConfig::default()).unwrap();
         assert!(model.predict_probability(&vec![1.0]).is_err());
         assert!(model.predict(&vec![1.0, 2.0, 3.0]).is_err());
+    }
+
+    #[test]
+    fn parts_round_trip_to_an_identical_model() {
+        let model =
+            LogisticRegression::train(&toy_dataset(10), &TrainingConfig::default()).unwrap();
+        let rebuilt = LogisticRegression::from_parts(
+            model.weights().to_vec(),
+            model.bias(),
+            model.feature_means().to_vec(),
+            model.feature_stds().to_vec(),
+        )
+        .unwrap();
+        assert_eq!(rebuilt, model);
+        assert!(LogisticRegression::from_parts(vec![], 0.0, vec![], vec![]).is_err());
+        assert!(LogisticRegression::from_parts(vec![1.0], 0.0, vec![0.0, 1.0], vec![1.0]).is_err());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use crate::error::{DefenseError, Result};
 use crate::features::{DefenseFeatures, FeatureVector};
-use ivc_acoustics::array::SpeakerArray;
+use ivc_acoustics::array::{ElementDrive, SpeakerArray};
 use ivc_acoustics::environment::AirEnvironment;
 use ivc_acoustics::microphone::DevicePreset;
 use ivc_acoustics::noise::room_noise_pa;
@@ -133,34 +133,67 @@ pub fn generate_attack_recording(
     env: &AirEnvironment,
     seed: u64,
 ) -> Result<Signal> {
-    if attack_elements == 0 {
-        return Err(DefenseError::invalid(
-            "attack_elements",
-            "must be at least 1",
-        ));
+    let rig = AttackRig::build(voice, attack_elements, total_power_w, carrier_hz)?;
+    rig.capture(device, distance_m, ambient_noise_spl_db, env, seed)
+}
+
+/// The distance-independent half of an attack recording: the speaker
+/// (or array) and its element drives for one voice, built once and
+/// captured at every distance.
+struct AttackRig {
+    array: SpeakerArray,
+    drives: Vec<ElementDrive>,
+}
+
+impl AttackRig {
+    fn build(
+        voice: &Signal,
+        attack_elements: usize,
+        total_power_w: f64,
+        carrier_hz: f64,
+    ) -> Result<AttackRig> {
+        if attack_elements == 0 {
+            return Err(DefenseError::invalid(
+                "attack_elements",
+                "must be at least 1",
+            ));
+        }
+        let speaker = UltrasonicSpeaker::default();
+        let baseband_cfg = BasebandConfig::default();
+        let (array, drives) = if attack_elements == 1 {
+            let attack = SingleSpeakerAttack::build(voice, carrier_hz, 0.9, &baseband_cfg)?;
+            let array = SpeakerArray::new(speaker.clone(), 1, 0.03)?;
+            let power = total_power_w.min(speaker.max_power_w);
+            (array, single_speaker_element_drives(&attack, power)?)
+        } else {
+            let attack =
+                MultiSpeakerAttack::build(voice, carrier_hz, attack_elements, &baseband_cfg)?;
+            let array = SpeakerArray::new(speaker.clone(), attack_elements, 0.03)?;
+            let drives = attack.element_drives(total_power_w, 0.3, speaker.max_power_w)?;
+            (array, drives)
+        };
+        Ok(AttackRig { array, drives })
     }
-    let speaker = UltrasonicSpeaker::default();
-    let baseband_cfg = BasebandConfig::default();
-    let (array, drives) = if attack_elements == 1 {
-        let attack = SingleSpeakerAttack::build(voice, carrier_hz, 0.9, &baseband_cfg)?;
-        let array = SpeakerArray::new(speaker.clone(), 1, 0.03)?;
-        let power = total_power_w.min(speaker.max_power_w);
-        (array, single_speaker_element_drives(&attack, power)?)
-    } else {
-        let attack = MultiSpeakerAttack::build(voice, carrier_hz, attack_elements, &baseband_cfg)?;
-        let array = SpeakerArray::new(speaker.clone(), attack_elements, 0.03)?;
-        let drives = attack.element_drives(total_power_w, 0.3, speaker.max_power_w)?;
-        (array, drives)
-    };
-    let mut at_mic = array.field_at_target(&drives, distance_m, env)?;
-    let noise = room_noise_pa(
-        ambient_noise_spl_db,
-        at_mic.duration_s(),
-        at_mic.sample_rate_hz(),
-        seed ^ 0x5A5A_A5A5,
-    )?;
-    at_mic.mix(&noise)?;
-    Ok(device.microphone().capture(&at_mic, seed)?)
+
+    /// The rig's injection propagated `distance_m` and captured by `device`.
+    fn capture(
+        &self,
+        device: DevicePreset,
+        distance_m: f64,
+        ambient_noise_spl_db: f64,
+        env: &AirEnvironment,
+        seed: u64,
+    ) -> Result<Signal> {
+        let mut at_mic = self.array.field_at_target(&self.drives, distance_m, env)?;
+        let noise = room_noise_pa(
+            ambient_noise_spl_db,
+            at_mic.duration_s(),
+            at_mic.sample_rate_hz(),
+            seed ^ 0x5A5A_A5A5,
+        )?;
+        at_mic.mix(&noise)?;
+        Ok(device.microphone().capture(&at_mic, seed)?)
+    }
 }
 
 impl Dataset {
@@ -169,6 +202,11 @@ impl Dataset {
     /// For every (command, distance) pair, one attack recording is produced,
     /// plus one legitimate recording per speaker variant — so the corpus has
     /// `commands × distances × (1 + variants)` entries.
+    ///
+    /// Only propagation, noise and capture depend on the distance: each
+    /// command's voices are rendered once per speaker profile and its
+    /// attack is built once, then captured at every distance.  The corpus
+    /// is bit-identical to rendering and building per recording.
     pub fn generate(config: &DatasetConfig) -> Result<Dataset> {
         if config.distances_m.is_empty() || config.command_indices.is_empty() {
             return Err(DefenseError::invalid(
@@ -192,15 +230,38 @@ impl Dataset {
             let command = commands.get(ci).ok_or_else(|| {
                 DefenseError::invalid("command_indices", format!("index {ci} out of range"))
             })?;
+            // Voices of this command by speaker-variant index, rendered on
+            // first use (the variant a slot gets depends on the running
+            // seed, so the same few profiles recur across distances).
+            let mut voices: Vec<(usize, Signal)> = Vec::new();
+            // The attacker uses the canonical TTS voice, as in the paper.
+            let canonical = synth.render(command, &SpeakerProfile::canonical())?;
+            let attack_voice = clip_duration(&canonical.signal, config.max_voice_duration_s);
+            let rig = AttackRig::build(
+                &attack_voice,
+                config.attack_elements,
+                config.attack_total_power_w,
+                config.carrier_hz,
+            )?;
             for &distance in &config.distances_m {
                 // Legitimate recordings from several speakers.
                 for variant in 0..config.num_speaker_variants {
-                    let profile = SpeakerProfile::variant(variant + (seed as usize % 3));
-                    let utterance = synth.render(command, &profile)?;
-                    let voice = clip_duration(&utterance.signal, config.max_voice_duration_s);
+                    let index = variant + (seed as usize % 3);
+                    let position = match voices.iter().position(|(i, _)| *i == index) {
+                        Some(position) => position,
+                        None => {
+                            let utterance =
+                                synth.render(command, &SpeakerProfile::variant(index))?;
+                            let voice =
+                                clip_duration(&utterance.signal, config.max_voice_duration_s);
+                            voices.push((index, voice));
+                            voices.len() - 1
+                        }
+                    };
+                    let voice = &voices[position].1;
                     seed = seed.wrapping_add(1);
                     let rec = generate_legit_recording(
-                        &voice,
+                        voice,
                         config.device,
                         distance,
                         config.talker_spl_db,
@@ -216,18 +277,11 @@ impl Dataset {
                         command_index: ci,
                     });
                 }
-                // One attack recording (the attacker uses the canonical TTS
-                // voice, as in the paper).
-                let utterance = synth.render(command, &SpeakerProfile::canonical())?;
-                let voice = clip_duration(&utterance.signal, config.max_voice_duration_s);
+                // One attack recording.
                 seed = seed.wrapping_add(1);
-                let rec = generate_attack_recording(
-                    &voice,
+                let rec = rig.capture(
                     config.device,
                     distance,
-                    config.attack_elements,
-                    config.attack_total_power_w,
-                    config.carrier_hz,
                     config.ambient_noise_spl_db,
                     &env,
                     seed,
@@ -372,6 +426,90 @@ mod tests {
         let (train2, test2) = ds.split_features(2).unwrap();
         assert_eq!(train.len(), train2.len());
         assert_eq!(test.len(), test2.len());
+    }
+
+    /// [`Dataset::generate`] the straightforward way: every recording
+    /// renders its own voice and builds its own attack.
+    fn generate_per_recording(config: &DatasetConfig) -> Vec<LabeledRecording> {
+        let env = AirEnvironment::default();
+        let commands = corpus();
+        let synth = Synthesizer::new(48_000.0).unwrap();
+        let mut recordings = Vec::new();
+        let mut seed = config.seed;
+        for &ci in &config.command_indices {
+            for &distance in &config.distances_m {
+                for variant in 0..config.num_speaker_variants {
+                    let profile = SpeakerProfile::variant(variant + (seed as usize % 3));
+                    let utterance = synth.render(&commands[ci], &profile).unwrap();
+                    let voice = clip_duration(&utterance.signal, config.max_voice_duration_s);
+                    seed = seed.wrapping_add(1);
+                    let recording = generate_legit_recording(
+                        &voice,
+                        config.device,
+                        distance,
+                        config.talker_spl_db,
+                        config.ambient_noise_spl_db,
+                        &env,
+                        seed,
+                    )
+                    .unwrap();
+                    recordings.push(LabeledRecording {
+                        recording,
+                        is_attack: false,
+                        distance_m: distance,
+                        device: config.device,
+                        command_index: ci,
+                    });
+                }
+                let utterance = synth
+                    .render(&commands[ci], &SpeakerProfile::canonical())
+                    .unwrap();
+                let voice = clip_duration(&utterance.signal, config.max_voice_duration_s);
+                seed = seed.wrapping_add(1);
+                let recording = generate_attack_recording(
+                    &voice,
+                    config.device,
+                    distance,
+                    config.attack_elements,
+                    config.attack_total_power_w,
+                    config.carrier_hz,
+                    config.ambient_noise_spl_db,
+                    &env,
+                    seed,
+                )
+                .unwrap();
+                recordings.push(LabeledRecording {
+                    recording,
+                    is_attack: true,
+                    distance_m: distance,
+                    device: config.device,
+                    command_index: ci,
+                });
+            }
+        }
+        recordings
+    }
+
+    #[test]
+    fn shared_renders_and_attacks_are_bit_identical_to_per_recording_ones() {
+        let config = DatasetConfig {
+            distances_m: vec![1.0, 2.5],
+            command_indices: vec![0, 3],
+            max_voice_duration_s: 0.5,
+            ..tiny_config()
+        };
+        let shared = Dataset::generate(&config).unwrap();
+        let direct = generate_per_recording(&config);
+        assert_eq!(shared.recordings.len(), direct.len());
+        for (a, b) in shared.recordings.iter().zip(&direct) {
+            assert_eq!(
+                (a.is_attack, a.distance_m, a.command_index),
+                (b.is_attack, b.distance_m, b.command_index)
+            );
+            assert_eq!(a.recording.sample_rate_hz(), b.recording.sample_rate_hz());
+            let bits = |s: &Signal| s.samples().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a.recording), bits(&b.recording));
+        }
     }
 
     #[test]

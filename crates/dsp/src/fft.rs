@@ -8,6 +8,18 @@
 
 use crate::complex::Complex;
 use crate::error::{DspError, Result};
+use std::cell::RefCell;
+
+/// Twiddle factors [`fft_in_place`] holds at once: stages with more are
+/// processed in runs of this many, so the scratch stays small at any size.
+const TWIDDLE_RUN: usize = 1024;
+
+thread_local! {
+    /// Per-thread twiddle scratch for [`fft_in_place`], reused across
+    /// calls so the many small transforms of overlap-save convolution
+    /// never allocate.
+    static TWIDDLES: RefCell<Vec<Complex>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Returns the smallest power of two that is `>= n` (and at least 1).
 #[inline]
@@ -50,26 +62,44 @@ pub fn fft_in_place(buffer: &mut [Complex], inverse: bool) -> Result<()> {
             buffer.swap(i, j);
         }
     }
-    // Butterflies.
+    // Butterflies.  Each stage's twiddles come from the same `w *= w_len`
+    // recurrence every block used to run on its own, computed once per
+    // stage instead of once per block, so the output is bit-identical.
     let sign = if inverse { 1.0 } else { -1.0 };
-    let mut len = 2usize;
-    while len <= n {
-        let angle = sign * 2.0 * std::f64::consts::PI / len as f64;
-        let w_len = Complex::cis(angle);
-        let mut start = 0usize;
-        while start < n {
+    TWIDDLES.with(|scratch| {
+        let twiddles = &mut *scratch.borrow_mut();
+        let mut len = 2usize;
+        while len <= n {
+            let half = len / 2;
+            let angle = sign * 2.0 * std::f64::consts::PI / len as f64;
+            let w_len = Complex::cis(angle);
             let mut w = Complex::ONE;
-            for k in 0..len / 2 {
-                let even = buffer[start + k];
-                let odd = buffer[start + k + len / 2] * w;
-                buffer[start + k] = even + odd;
-                buffer[start + k + len / 2] = even - odd;
-                w *= w_len;
+            let mut start = 0;
+            while start < half {
+                let end = (start + TWIDDLE_RUN).min(half);
+                twiddles.clear();
+                for _ in start..end {
+                    twiddles.push(w);
+                    w *= w_len;
+                }
+                for block in buffer.chunks_exact_mut(len) {
+                    let (evens, odds) = block.split_at_mut(half);
+                    for ((e, o), &w) in evens[start..end]
+                        .iter_mut()
+                        .zip(odds[start..end].iter_mut())
+                        .zip(twiddles.iter())
+                    {
+                        let even = *e;
+                        let odd = *o * w;
+                        *e = even + odd;
+                        *o = even - odd;
+                    }
+                }
+                start = end;
             }
-            start += len;
+            len <<= 1;
         }
-        len <<= 1;
-    }
+    });
     if inverse {
         let scale = 1.0 / n as f64;
         for value in buffer.iter_mut() {
@@ -299,6 +329,75 @@ mod tests {
 
     fn approx(a: f64, b: f64, eps: f64) -> bool {
         (a - b).abs() < eps
+    }
+
+    /// The butterfly loop as it was before the per-stage twiddle table:
+    /// the bit-exactness reference for [`fft_in_place`].
+    fn reference_fft_in_place(buffer: &mut [Complex], inverse: bool) {
+        let n = buffer.len();
+        let mut j = 0usize;
+        for i in 1..n {
+            let mut bit = n >> 1;
+            while j & bit != 0 {
+                j ^= bit;
+                bit >>= 1;
+            }
+            j |= bit;
+            if i < j {
+                buffer.swap(i, j);
+            }
+        }
+        let sign = if inverse { 1.0 } else { -1.0 };
+        let mut len = 2usize;
+        while len <= n {
+            let angle = sign * 2.0 * std::f64::consts::PI / len as f64;
+            let w_len = Complex::cis(angle);
+            let mut start = 0usize;
+            while start < n {
+                let mut w = Complex::ONE;
+                for k in 0..len / 2 {
+                    let even = buffer[start + k];
+                    let odd = buffer[start + k + len / 2] * w;
+                    buffer[start + k] = even + odd;
+                    buffer[start + k + len / 2] = even - odd;
+                    w *= w_len;
+                }
+                start += len;
+            }
+            len <<= 1;
+        }
+        if inverse {
+            let scale = 1.0 / n as f64;
+            for value in buffer.iter_mut() {
+                *value = value.scale(scale);
+            }
+        }
+    }
+
+    #[test]
+    fn butterflies_are_bit_identical_to_the_reference_loop() {
+        let mut n = 1;
+        while n <= 1 << 16 {
+            let input: Vec<Complex> = (0..n)
+                .map(|i| {
+                    let x = i as f64;
+                    Complex::new((x * 0.37).sin() + 1e-3 * x, (x * 0.11).cos() - 0.5)
+                })
+                .collect();
+            for inverse in [false, true] {
+                let mut fast = input.clone();
+                let mut reference = input.clone();
+                fft_in_place(&mut fast, inverse).unwrap();
+                reference_fft_in_place(&mut reference, inverse);
+                for (k, (a, b)) in fast.iter().zip(reference.iter()).enumerate() {
+                    assert!(
+                        a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
+                        "n = {n}, inverse = {inverse}, bin {k}: {a:?} vs {b:?}"
+                    );
+                }
+            }
+            n <<= 1;
+        }
     }
 
     #[test]

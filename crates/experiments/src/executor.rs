@@ -28,7 +28,7 @@
 
 use crate::aggregate::{aggregate_cells, psychometric_curves};
 use crate::error::{ExperimentError, Result};
-use crate::grid::{BandSummarySpec, CampaignSpec, DetectorSpec};
+use crate::grid::{BandSummarySpec, CampaignSpec, CellSpec, DetectorSpec};
 use crate::report::CampaignReport;
 use ivc_core::{telemetry, PrepareContext, PreparedCell, TrialScratch};
 use ivc_defense::classifier::{LogisticRegression, TrainingConfig};
@@ -142,20 +142,84 @@ fn cached_default_recognizer() -> Result<Arc<Recognizer>> {
         .map_err(ExperimentError::Setup)
 }
 
+/// The memoised default-corpus recogniser, if this process already has
+/// one.  Never enrolls.
+pub(crate) fn memoized_recognizer() -> Option<Arc<Recognizer>> {
+    RECOGNIZER_MEMO.get()?.as_ref().ok().cloned()
+}
+
+/// Seeds the recogniser memo with a loaded instance (bit-identical to an
+/// enrolled one); a memo that is already filled keeps its instance.
+pub(crate) fn install_recognizer(recognizer: Arc<Recognizer>) {
+    let _ = RECOGNIZER_MEMO.set(Ok(recognizer));
+}
+
+/// The detector memo key of `spec`: its `Debug` form, which covers every
+/// field deterministically, so it is a sound key for a pure training
+/// function.
+pub(crate) fn detector_memo_key(spec: &DetectorSpec) -> String {
+    format!("{spec:?}")
+}
+
+fn detector_memo() -> &'static Mutex<HashMap<String, Arc<LogisticRegression>>> {
+    DETECTOR_MEMO.get_or_init(|| Mutex::new(HashMap::new()))
+}
+
+/// The memoised detector under `key`, if this process already trained or
+/// loaded it.  Never trains.
+pub(crate) fn memoized_detector(key: &str) -> Option<Arc<LogisticRegression>> {
+    detector_memo()
+        .lock()
+        .expect("detector memo poisoned")
+        .get(key)
+        .cloned()
+}
+
+/// Seeds the detector memo with a loaded model; an entry already present
+/// is kept (both are bit-identical).
+pub(crate) fn install_detector(key: String, model: Arc<LogisticRegression>) {
+    detector_memo()
+        .lock()
+        .expect("detector memo poisoned")
+        .entry(key)
+        .or_insert(model);
+}
+
 fn cached_detector_model(spec: &DetectorSpec) -> Result<Arc<LogisticRegression>> {
-    // `Debug` covers every field deterministically, so it is a sound
-    // memo key for a pure training function.
-    let key = format!("{spec:?}");
-    let memo = DETECTOR_MEMO.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(hit) = memo.lock().expect("detector memo poisoned").get(&key) {
-        return Ok(Arc::clone(hit));
+    let key = detector_memo_key(spec);
+    if let Some(hit) = memoized_detector(&key) {
+        return Ok(hit);
     }
     // Train outside the lock: concurrent misses on different specs should
     // not serialise; a duplicate train on the same spec keeps the first
     // insertion (training is pure, so both are identical).
-    let model = Arc::new(train_detector_model(spec)?);
-    let mut entries = memo.lock().expect("detector memo poisoned");
-    Ok(Arc::clone(entries.entry(key).or_insert(model)))
+    install_detector(key.clone(), Arc::new(train_detector_model(spec)?));
+    Ok(memoized_detector(&key).expect("installed above"))
+}
+
+/// The detector-axis entries the cell-major job range `[start_job,
+/// end_job)` over `cells` scores with, sorted and deduplicated (cells
+/// past the end of `cells` contribute nothing).
+pub(crate) fn touched_detectors(
+    cells: &[CellSpec],
+    trials_per_cell: usize,
+    start_job: usize,
+    end_job: usize,
+) -> Vec<usize> {
+    if start_job >= end_job || trials_per_cell == 0 {
+        return Vec::new();
+    }
+    let first_cell = start_job / trials_per_cell;
+    let last_cell = (end_job - 1) / trials_per_cell;
+    let mut touched: Vec<usize> = cells
+        .iter()
+        .take(last_cell + 1)
+        .skip(first_cell)
+        .map(|cell| cell.coords.detector_index)
+        .collect();
+    touched.sort_unstable();
+    touched.dedup();
+    touched
 }
 
 /// Runs every trial of `spec` on a pool of `workers` threads and returns
@@ -271,12 +335,7 @@ pub(crate) fn execute_jobs(
     // parallel, each memoised process-wide), so workers never block each
     // other on a training run.  Entries no cell of the range uses are not
     // trained: a shard only pays for the models it scores with.
-    let mut touched_detectors: Vec<usize> = cell_jobs
-        .iter()
-        .map(|jobs| cells[jobs.cell_index].coords.detector_index)
-        .collect();
-    touched_detectors.sort_unstable();
-    touched_detectors.dedup();
+    let touched_detectors = touched_detectors(&cells, trials_per_cell, start_job, end_job);
     let detector_span = telemetry::span("campaign.detector_train");
     let detectors: HashMap<usize, SharedDetector> = std::thread::scope(|scope| {
         let handles: Vec<_> = touched_detectors

@@ -65,6 +65,7 @@ pub mod grid;
 pub mod orchestrate;
 pub mod presets;
 pub mod report;
+pub mod setup;
 pub mod shard;
 
 pub use aggregate::{CellAccumulator, CellReport, CellStats, PsychometricCurve};
@@ -80,6 +81,7 @@ pub use orchestrate::{
     ProcessLauncher, RunEvent, ShardLauncher, ThreadLauncher, MANIFEST_FORMAT,
 };
 pub use report::CampaignReport;
+pub use setup::{SetupBundle, SETUP_BUILD_ID, SETUP_FORMAT};
 pub use shard::{
     merge_shard_files, merge_shards, metrics_sidecar_path, run_shard, shard_archive_file_name_with,
     PartialFormat, ShardArchive, ShardJob, ShardMerger, ShardPlan, ShardRange,
@@ -100,6 +102,7 @@ pub mod prelude {
         ProcessLauncher, RunEvent, ShardLauncher, ThreadLauncher, MANIFEST_FORMAT,
     };
     pub use crate::report::CampaignReport;
+    pub use crate::setup::{SetupBundle, SETUP_FORMAT};
     pub use crate::shard::{
         merge_shard_files, merge_shards, metrics_sidecar_path, run_shard,
         shard_archive_file_name_with, PartialFormat, ShardArchive, ShardJob, ShardMerger,

@@ -55,7 +55,19 @@
 //! <spec>.shard-i-of-n.part.attempt-<nonce>-<k>.bin  in-flight attempt output
 //! <spec>.shard-i-of-n.part.attempt-<nonce>-<k>.metrics.json  its in-flight sidecar
 //! <spec>.manifest.jsonl                        append-only JSONL run manifest
+//! <spec>.setup.bin                             set-up bundle shipped to workers
+//! <spec>.shard-i-of-n.part.attempt-<nonce>-<k>.setup.bin  set-up a worker built itself
 //! ```
+//!
+//! [`ProcessLauncher`] writes the set-up bundle ([`crate::setup`])
+//! whenever this process's recogniser and detector memos already hold the
+//! spec's set-up, and its workers load it instead of enrolling the corpus
+//! and training the detectors.  A worker that had to build its own set-up
+//! returns it as an attempt `.setup.bin` sidecar, which the orchestrator
+//! absorbs into its memos on acceptance (and deletes in every case) — so
+//! from then on every process worker of this and every later campaign in
+//! the process loads its set-up.  Thread workers share the memos and need
+//! no file.
 //!
 //! Process workers (`repro shard-worker`) always write an `ivc-metrics-v1`
 //! telemetry sidecar next to their attempt output
@@ -74,6 +86,9 @@
 use crate::aggregate::wilson_interval;
 use crate::error::{ExperimentError, Result};
 use crate::grid::CampaignSpec;
+use crate::setup::{
+    absorb_sidecar, all_detectors, setup_file_name, setup_sidecar_path, SetupBundle,
+};
 use crate::shard::{
     merge_shard_files, metrics_sidecar_path, run_shard, shard_archive_file_name_with,
     shard_job_file_name, PartialFormat, ShardArchive, ShardJob, ShardPlan,
@@ -199,10 +214,13 @@ pub trait ShardLauncher {
 /// Launches each attempt as a forked worker process (normally the
 /// `repro` binary re-entered through its `shard-worker` subcommand).
 /// The attempt index travels in the [`ENV_SHARD_ATTEMPT`] environment
-/// variable so fault injection can distinguish first attempts.
+/// variable so fault injection can distinguish first attempts.  The
+/// set-up bundle this process's memos hold travels as `--setup FILE`.
 pub struct ProcessLauncher {
     worker_exe: PathBuf,
     workers_per_shard: usize,
+    /// The bundle last written, with its content key.
+    setup: Option<(PathBuf, u64)>,
 }
 
 impl ProcessLauncher {
@@ -212,7 +230,27 @@ impl ProcessLauncher {
         ProcessLauncher {
             worker_exe: worker_exe.into(),
             workers_per_shard: workers_per_shard.max(1),
+            setup: None,
         }
+    }
+
+    /// The set-up bundle file for `job`'s workers: written next to the job
+    /// file from this process's memos, and rewritten only when they gained
+    /// something since.  `None` while the memos hold no recogniser, or if
+    /// the write fails — the workers then build their own set-up, which
+    /// costs time, never correctness.
+    fn setup_file(&mut self, job: &ShardJob, job_path: &Path) -> Option<PathBuf> {
+        let bundle = SetupBundle::from_memos(&job.spec, &all_detectors(&job.spec))?;
+        let path = job_path.parent()?.join(setup_file_name(&job.spec.name));
+        let key = bundle.key();
+        let current = self.setup.as_ref().is_some_and(|(written, written_key)| {
+            *written == path && *written_key == key && path.exists()
+        });
+        if !current {
+            bundle.save(&path).ok()?;
+            self.setup = Some((path.clone(), key));
+        }
+        Some(path)
     }
 }
 
@@ -247,14 +285,19 @@ impl ShardLauncher for ProcessLauncher {
         attempt: usize,
         out_path: &Path,
     ) -> Result<Box<dyn ShardAttempt>> {
-        let child = std::process::Command::new(&self.worker_exe)
+        let mut command = std::process::Command::new(&self.worker_exe);
+        command
             .arg("shard-worker")
             .arg("--job")
             .arg(job_path)
             .arg("--out")
             .arg(out_path)
             .arg("--workers")
-            .arg(self.workers_per_shard.to_string())
+            .arg(self.workers_per_shard.to_string());
+        if let Some(setup) = self.setup_file(job, job_path) {
+            command.arg("--setup").arg(setup);
+        }
+        let child = command
             .env(ENV_SHARD_ATTEMPT, attempt.to_string())
             .stdout(std::process::Stdio::null())
             .spawn()
@@ -385,8 +428,8 @@ pub struct RunEvent {
     /// Event kind: `run_start`, `checkpoint_resumed`,
     /// `checkpoint_quarantined`, `plan_summary`, `shard_issued`,
     /// `shard_done`, `shard_failed`, `shard_retry`, `straggler_reissue`,
-    /// `duplicate_discarded`, `cell_complete`, `progress`, `run_complete`
-    /// or `run_failed`.
+    /// `duplicate_discarded`, `cell_complete`, `progress`,
+    /// `setup_absorbed`, `run_complete` or `run_failed`.
     pub kind: &'static str,
     /// Kind-specific fields, in emit order.
     pub fields: Vec<(&'static str, JsonValue)>,
@@ -537,6 +580,11 @@ impl RunEvent {
                 self.f64_field("wall_s"),
                 self.f64_field("trials_per_s")
             ),
+            "setup_absorbed" => format!(
+                "shard {} attempt {} returned the set-up it built; absorbed for later workers",
+                self.u64_field("shard"),
+                self.u64_field("attempt")
+            ),
             "run_failed" => format!(
                 "shard {} failed {} time(s), retry budget of {} exhausted (last failure: {})",
                 self.u64_field("shard"),
@@ -602,6 +650,13 @@ struct Inflight {
     out_path: PathBuf,
     started: Instant,
     handle: Box<dyn ShardAttempt>,
+}
+
+/// Deletes an attempt's output and its telemetry and set-up sidecars.
+fn discard_attempt_files(out_path: &Path) {
+    let _ = std::fs::remove_file(out_path);
+    let _ = std::fs::remove_file(metrics_sidecar_path(out_path));
+    let _ = std::fs::remove_file(setup_sidecar_path(out_path));
 }
 
 /// The attempt-output file name: the canonical checkpoint name plus a
@@ -824,8 +879,7 @@ pub fn orchestrate(
                         // determinism makes it identical, so discard it.
                         stats.duplicate_results += 1;
                         telemetry::add_count("orchestrate.duplicates_discarded", 1);
-                        let _ = std::fs::remove_file(&attempt.out_path);
-                        let _ = std::fs::remove_file(metrics_sidecar_path(&attempt.out_path));
+                        discard_attempt_files(&attempt.out_path);
                         status.emit(
                             "duplicate_discarded",
                             vec![
@@ -878,6 +932,17 @@ pub fn orchestrate(
                                     ("total", u64_to_json(total as u64)),
                                 ],
                             );
+                            // A worker that built its own set-up returned
+                            // it: absorb it so later workers load it.
+                            if absorb_sidecar(spec, &attempt.out_path) {
+                                status.emit(
+                                    "setup_absorbed",
+                                    vec![
+                                        ("shard", u64_to_json(attempt.shard_index as u64)),
+                                        ("attempt", u64_to_json(attempt.attempt as u64)),
+                                    ],
+                                );
+                            }
                             // First completed result wins: kill the
                             // duplicates, but drain one that finished in
                             // the same window.
@@ -900,8 +965,7 @@ pub fn orchestrate(
                                         ],
                                     );
                                 }
-                                let _ = std::fs::remove_file(&dup.out_path);
-                                let _ = std::fs::remove_file(metrics_sidecar_path(&dup.out_path));
+                                discard_attempt_files(&dup.out_path);
                             }
                             report_completed_cells(
                                 spec,
@@ -921,8 +985,7 @@ pub fn orchestrate(
                 }
             };
             if let Some(message) = failure {
-                let _ = std::fs::remove_file(&attempt.out_path);
-                let _ = std::fs::remove_file(metrics_sidecar_path(&attempt.out_path));
+                discard_attempt_files(&attempt.out_path);
                 let slot = &mut slots[attempt.shard_index];
                 if slot.state == ShardState::Done {
                     continue; // a killed duplicate being reaped

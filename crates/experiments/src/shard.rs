@@ -209,6 +209,12 @@ pub fn shard_archive_file_name(spec_name: &str, shard: &ShardRange) -> String {
 /// orchestrator can rename the two together when a checkpoint is
 /// accepted.
 pub fn metrics_sidecar_path(partial_path: &Path) -> std::path::PathBuf {
+    sidecar_path(partial_path, "metrics.json")
+}
+
+/// `partial_path` with its `.json`/`.bin` extension replaced by
+/// `.{suffix}`: where a worker leaves a file that travels with a partial.
+pub(crate) fn sidecar_path(partial_path: &Path, suffix: &str) -> std::path::PathBuf {
     let name = partial_path
         .file_name()
         .map(|n| n.to_string_lossy().into_owned())
@@ -217,7 +223,7 @@ pub fn metrics_sidecar_path(partial_path: &Path) -> std::path::PathBuf {
         .strip_suffix(".json")
         .or_else(|| name.strip_suffix(".bin"))
         .unwrap_or(&name);
-    partial_path.with_file_name(format!("{stem}.metrics.json"))
+    partial_path.with_file_name(format!("{stem}.{suffix}"))
 }
 
 /// Everything a worker needs to run one shard: the full spec plus the

@@ -69,6 +69,44 @@ pub struct CommandTemplate {
     word_frame_ranges: Vec<(usize, usize)>,
 }
 
+impl CommandTemplate {
+    /// Reassembles a template from its parts — the inverse of
+    /// [`CommandTemplate::frames`] and [`CommandTemplate::word_frame_ranges`],
+    /// for loading an enrolled recogniser from storage instead of
+    /// re-enrolling it.  There must be one frame range per command word.
+    pub fn from_parts(
+        command: VoiceCommand,
+        frames: MfccFrames,
+        word_frame_ranges: Vec<(usize, usize)>,
+    ) -> Result<Self> {
+        if word_frame_ranges.len() != command.num_words() {
+            return Err(SpeechError::invalid(
+                "word_frame_ranges",
+                format!(
+                    "{} range(s) for a {}-word command",
+                    word_frame_ranges.len(),
+                    command.num_words()
+                ),
+            ));
+        }
+        Ok(CommandTemplate {
+            command,
+            frames,
+            word_frame_ranges,
+        })
+    }
+
+    /// The template's MFCC frames.
+    pub fn frames(&self) -> &MfccFrames {
+        &self.frames
+    }
+
+    /// `(start_frame, end_frame)` of each word, in word order.
+    pub fn word_frame_ranges(&self) -> &[(usize, usize)] {
+        &self.word_frame_ranges
+    }
+}
+
 /// Outcome of recognising one recording.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecognitionOutcome {
@@ -134,6 +172,18 @@ impl Recognizer {
             recognizer.enroll(&utterance, command)?;
         }
         Ok(recognizer)
+    }
+
+    /// Reassembles an enrolled recogniser from its configuration and
+    /// templates — the inverse of [`Recognizer::config`] and
+    /// [`Recognizer::templates`].
+    pub fn from_parts(config: RecognizerConfig, templates: Vec<CommandTemplate>) -> Self {
+        Recognizer { config, templates }
+    }
+
+    /// The enrolled templates, in enrollment order.
+    pub fn templates(&self) -> &[CommandTemplate] {
+        &self.templates
     }
 
     /// Configuration in use.
@@ -550,6 +600,29 @@ mod tests {
         assert_eq!(other.outcome, evaluation.outcome);
         // An unenrolled command id is an error, matching word_accuracy.
         assert!(r.evaluate(&utt.signal, CommandId(999)).is_err());
+    }
+
+    #[test]
+    fn parts_round_trip_to_an_identical_recogniser() {
+        let r = Recognizer::with_default_corpus().unwrap();
+        let templates = r
+            .templates()
+            .iter()
+            .map(|t| {
+                CommandTemplate::from_parts(
+                    t.command.clone(),
+                    t.frames().clone(),
+                    t.word_frame_ranges().to_vec(),
+                )
+                .unwrap()
+            })
+            .collect();
+        assert_eq!(Recognizer::from_parts(*r.config(), templates), r);
+        // One frame range per word, or the template is refused.
+        let t = &r.templates()[0];
+        assert!(
+            CommandTemplate::from_parts(t.command.clone(), t.frames().clone(), vec![]).is_err()
+        );
     }
 
     #[test]
